@@ -57,12 +57,11 @@ STAGES: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
 
 def build_monitor(
     queries: int, mixed: bool, rng: np.random.Generator,
-    backend: str = None, admission: str = None,
+    backend: str = None,
 ) -> StreamMonitor:
     """A single-stream monitor with ``queries`` fusable spring queries
     (plus one query per non-trivial kind when ``mixed``)."""
-    monitor = StreamMonitor(keep_history=False, backend=backend,
-                            admission=admission)
+    monitor = StreamMonitor(keep_history=False, backend=backend)
     monitor.add_stream("s0")
     for i in range(queries):
         query = np.cumsum(rng.normal(size=8 + 4 * (i % 4)))
@@ -85,12 +84,10 @@ def profile(
     batch: bool,
     seed: int = 20070415,
     backend: str = None,
-    admission: str = None,
 ) -> Dict[str, object]:
     """Run the traced workload; return stage and raw span aggregates."""
     rng = np.random.default_rng(seed)
-    monitor = build_monitor(queries, mixed, rng, backend=backend,
-                            admission=admission)
+    monitor = build_monitor(queries, mixed, rng, backend=backend)
     stream = [float(v) for v in np.cumsum(rng.normal(size=ticks))]
     # Warm-up outside the trace: plan construction, numpy dispatch.
     monitor.push("s0", stream[0])
@@ -146,7 +143,6 @@ def profile(
             "batch": batch,
             "seed": seed,
             "backend": monitor.backend_name,
-            "admission": monitor.admission_name,
         },
         "spans_recorded": len(tracer),
         "spans_dropped": tracer.dropped,
@@ -164,8 +160,7 @@ def render(report: Dict[str, object]) -> str:
         f"{config['queries']} queries"
         + (" (+mixed kinds)" if config["mixed"] else "")
         + (" via push_many" if config["batch"] else " via push")
-        + f" [backend={config.get('backend', 'numpy')}, "
-        + f"admission={config.get('admission', 'auto')}]",
+        + f" [backend={config.get('backend', 'numpy')}]",
         f"{report['spans_recorded']} spans recorded"
         + (f", {report['spans_dropped']} dropped" if report["spans_dropped"]
            else ""),
@@ -200,15 +195,12 @@ def main(argv: object = None) -> int:
                         help="also dump the full report (stages + raw span "
                              "totals) as JSON")
     parser.add_argument("--backend", default=None,
-                        choices=("auto", "numpy", "numba", "cext"),
+                        choices=("auto", "numpy", "cext"),
                         help="kernel backend (default: auto)")
-    parser.add_argument("--admission", default=None,
-                        choices=("auto", "flat", "grouped"),
-                        help="admission strategy (default: auto)")
     args = parser.parse_args(argv)
 
     report = profile(args.ticks, args.queries, args.mixed, args.batch,
-                     backend=args.backend, admission=args.admission)
+                     backend=args.backend)
     print(render(report))
     if args.json:
         with open(args.json, "w") as handle:

@@ -22,8 +22,9 @@ Commands
     runtime: transient read errors retry with backoff, and progress is
     snapshotted atomically so ``--resume`` continues a killed run with
     byte-identical match output.  ``--backend`` picks the kernel
-    backend and ``--admission`` the admission strategy (both ``auto``
-    by default; matches are bit-identical across every combination).
+    backend (``auto`` by default; matches are bit-identical across
+    backends).  Each query bank picks its admission strategy from its
+    size.
     With ``--shards N`` the run goes through the sharded
     multi-process runtime (supervised workers, automatic crash
     recovery).  Either way SIGTERM/SIGINT stop the run cooperatively:
@@ -162,20 +163,10 @@ def build_parser() -> argparse.ArgumentParser:
                      help="replay-buffer capacity per stream for the "
                           "admission cascade (default 1024)")
     mon.add_argument("--backend", default=None,
-                     choices=("auto", "numpy", "numba", "cext"),
-                     help="kernel backend for the column recurrence "
-                          "(default: auto = best available; matches "
-                          "are bit-identical across backends)")
-    mon.add_argument("--admission", default=None,
-                     choices=("auto", "flat", "grouped"),
-                     help="admission strategy for the pruning cascade "
-                          "(default: auto = grouped envelope index for "
-                          "large query banks, flat cascade otherwise; "
-                          "matches are byte-identical either way)")
-    mon.add_argument("--admission-group-size", type=int, default=None,
-                     metavar="G",
-                     help="queries per merged-envelope group under "
-                          "grouped admission (default 64)")
+                     help="kernel backend for the column recurrence: "
+                          "auto, numpy or cext (default: auto = best "
+                          "available; matches are bit-identical across "
+                          "backends)")
     mon.add_argument("--shards", type=int, default=None, metavar="N",
                      help="run through the sharded multi-process runtime "
                           "with N supervised worker processes (crash "
@@ -209,14 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="front the sharded runtime with N worker "
                           "processes (0 = in-process engine, default)")
     srv.add_argument("--backend", default=None,
-                     choices=("auto", "numpy", "numba", "cext"),
-                     help="kernel backend (default auto)")
-    srv.add_argument("--admission", default=None,
-                     choices=("auto", "flat", "grouped"),
-                     help="admission strategy (default auto)")
-    srv.add_argument("--admission-group-size", type=int, default=None,
-                     metavar="G",
-                     help="queries per merged-envelope group")
+                     help="kernel backend: auto, numpy or cext "
+                          "(default auto)")
     srv.add_argument("--no-prune", action="store_true",
                      help="disable the admission cascade")
     srv.add_argument("--prune-buffer", type=int, default=1024,
@@ -378,17 +363,13 @@ def _run_monitor_supervised(
             [source], manager, checkpoint_every=args.checkpoint_every,
             prune=not args.no_prune, prune_buffer=args.prune_buffer,
             backend=args.backend,
-            admission=args.admission,
-            admission_group_size=args.admission_group_size,
         )
         print(f"resumed from snapshot at tick {runner.resumed_from}")
     else:
         monitor = StreamMonitor(keep_history=False,
                                 prune=not args.no_prune,
                                 prune_buffer=args.prune_buffer,
-                                backend=args.backend,
-                                admission=args.admission,
-                                admission_group_size=args.admission_group_size)
+                                backend=args.backend)
         for name, query in queries.items():
             monitor.add_query(name, query, epsilon=args.epsilon,
                               matcher=args.matcher, **_matcher_kwargs(args))
@@ -487,8 +468,6 @@ def _run_monitor_sharded(
         prune=not args.no_prune,
         prune_buffer=args.prune_buffer,
         backend=args.backend,
-        admission=args.admission,
-        admission_group_size=args.admission_group_size,
     )
     monitor.add_stream("stream")
     for name, query in queries.items():
@@ -612,8 +591,6 @@ def _run_serve(args: argparse.Namespace) -> int:
         streams=streams,
         shards=int(args.shards),
         backend=args.backend,
-        admission=args.admission,
-        admission_group_size=args.admission_group_size,
         prune=not args.no_prune,
         prune_buffer=args.prune_buffer,
         checkpoint_dir=args.checkpoint_dir,
@@ -667,15 +644,11 @@ def _run_monitor(args: argparse.Namespace) -> int:
     (query,) = queries.values()
     matcher = build_matcher(args.matcher, query, epsilon=args.epsilon,
                             **_matcher_kwargs(args))
-    if args.backend is not None:
-        # Validate the choice even when this matcher kind has no
-        # backend hook (explicit-but-unavailable must fail loudly).
+    set_backend = getattr(matcher, "set_backend", None)
+    if args.backend is not None and callable(set_backend):
         from repro.core.backends import resolve_backend
 
-        backend = resolve_backend(args.backend)
-        set_backend = getattr(matcher, "set_backend", None)
-        if callable(set_backend):
-            set_backend(backend)
+        set_backend(resolve_backend(args.backend))
     source = CsvSource(args.stream_csv, columns=args.column,
                        skip_header=not args.no_header,
                        strict=args.strict_csv)
@@ -718,9 +691,7 @@ def _run_monitor_metrics(
     monitor = StreamMonitor(keep_history=False,
                             prune=not args.no_prune,
                             prune_buffer=args.prune_buffer,
-                            backend=args.backend,
-                            admission=args.admission,
-                            admission_group_size=args.admission_group_size)
+                            backend=args.backend)
     write_metrics = None
     every = max(1, args.metrics_every)
     if args.metrics_out is not None:
@@ -789,6 +760,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     import repro.eval.experiments  # noqa: F401
 
     args = build_parser().parse_args(argv)
+    if getattr(args, "backend", None) is not None:
+        # Unknown or unavailable names fail here, listing the valid
+        # choices, before any worker process or server socket exists.
+        from repro.core.backends import resolve_backend
+
+        resolve_backend(args.backend)
     if args.command == "experiments":
         for name in list_experiments():
             print(name)

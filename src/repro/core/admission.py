@@ -8,8 +8,7 @@ parked, which wake, and which newly park.  The engine
 (:class:`~repro.core.fused.FusedSpring`) only dispatches the surviving
 hot rows; it no longer hard-wires any admission policy.
 
-Two strategies ship, behind the same open registry idiom as the policy
-and backend registries (:func:`register_admission`):
+Two strategies ship:
 
 * ``"flat"`` — the PR-5 cascade: every query pays its own O(1) corridor
   check each tick, O(Q) admission per tick.
@@ -21,10 +20,15 @@ and backend registries (:func:`register_admission`):
   descend to exact per-member checks.  With everything parked and every
   group certified, a tick costs O(Q / group_size) instead of O(Q).
 
-``"auto"`` (the default everywhere) resolves to ``"grouped"`` for banks
-of at least :data:`AUTO_GROUP_MIN_QUERIES` queries and ``"flat"``
-otherwise — below that scale the flat cascade's single vectorised pass
-is already cheaper than managing an index.
+The choice is not a knob: :func:`create_admission` picks ``"grouped"``
+(groups of :data:`DEFAULT_GROUP_SIZE`) for banks of at least
+:data:`AUTO_GROUP_MIN_QUERIES` queries and ``"flat"`` otherwise — below
+that scale the flat cascade's single vectorised pass is already cheaper
+than managing an index.  Every front end (monitor, sharded runtime,
+service, CLI) builds its banks through this rule; only
+:class:`~repro.core.fused.FusedSpring` accepts an explicit strategy, so
+the parity suites and the admission benchmark can pit the two against
+each other on one bank.
 
 **Exactness.**  Both strategies produce the *same decisions*: the group
 bound is a bit-level lower bound on every member bound (see
@@ -35,12 +39,13 @@ sets, and checkpoint payloads are byte-identical across strategies —
 property-swept in ``tests/properties/test_admission_parity.py`` — which
 is also why the strategy is a *runtime property* like the backend: it
 is never serialised, and a checkpoint written under one strategy
-restores under any other.
+restores under the other (a bank that crosses the size threshold
+between runs simply switches).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -53,16 +58,13 @@ __all__ = [
     "AdmissionCascade",
     "FlatAdmission",
     "GroupedAdmission",
-    "register_admission",
-    "admission_kinds",
-    "resolve_admission",
     "create_admission",
     "AUTO_GROUP_MIN_QUERIES",
     "DEFAULT_GROUP_SIZE",
 ]
 
-#: Bank size at which ``"auto"`` switches from flat to grouped
-#: admission.  Below this, one vectorised O(Q) pass beats index upkeep.
+#: Bank size at which banks switch from flat to grouped admission.
+#: Below this, one vectorised O(Q) pass beats index upkeep.
 AUTO_GROUP_MIN_QUERIES = 128
 
 #: Default queries per merged-envelope group.
@@ -82,7 +84,7 @@ class AdmissionCascade:
     only through the documented wake/replay paths.
     """
 
-    #: Registry name of the strategy (overridden by subclasses).
+    #: Strategy name (overridden by subclasses).
     kind = "?"
 
     def __init__(self, engine, capacity: int, group_size: int) -> None:
@@ -444,46 +446,7 @@ class GroupedAdmission(AdmissionCascade):
         return hot, n_hot
 
 
-# ----------------------------------------------------------------------
-# Registry (mirrors the policy / transform / backend registries)
-# ----------------------------------------------------------------------
-
-_REGISTRY: Dict[str, Callable[..., AdmissionCascade]] = {}
-
-
-def register_admission(name: str, factory: Callable[..., AdmissionCascade]) -> None:
-    """Register an admission strategy under ``name``.
-
-    ``factory(engine, capacity, group_size)`` must return an
-    :class:`AdmissionCascade`.  Re-registering the same factory under
-    the same name is a no-op; a conflicting re-registration raises.
-    """
-    key = str(name).lower()
-    existing = _REGISTRY.get(key)
-    if existing is not None and existing is not factory:
-        raise ValidationError(
-            f"admission strategy {key!r} is already registered"
-        )
-    _REGISTRY[key] = factory
-
-
-def admission_kinds() -> Tuple[str, ...]:
-    """Registered strategy names, sorted (``"auto"`` is a selector, not
-    a strategy, and is not listed)."""
-    return tuple(sorted(_REGISTRY))
-
-
-def resolve_admission(spec: Optional[str]) -> str:
-    """Canonicalise an admission spec: ``None`` means ``"auto"``."""
-    if spec is None:
-        return "auto"
-    name = str(spec).lower()
-    if name != "auto" and name not in _REGISTRY:
-        choices = ", ".join(("auto",) + admission_kinds())
-        raise ValidationError(
-            f"unknown admission strategy {spec!r}: choose one of {choices}"
-        )
-    return name
+_STRATEGIES = {"flat": FlatAdmission, "grouped": GroupedAdmission}
 
 
 def create_admission(
@@ -494,11 +457,20 @@ def create_admission(
 ) -> AdmissionCascade:
     """Mint the admission cascade for one engine.
 
-    ``"auto"`` picks grouped admission for banks of at least
-    :data:`AUTO_GROUP_MIN_QUERIES` queries and flat otherwise; explicit
-    names are honoured at any size.
+    ``spec`` ``None`` or ``"auto"`` applies the bank-size rule: grouped
+    admission for banks of at least :data:`AUTO_GROUP_MIN_QUERIES`
+    queries, flat otherwise.  ``"flat"``/``"grouped"`` force a strategy
+    at any size.  ``group_size`` defaults to :data:`DEFAULT_GROUP_SIZE`.
     """
-    name = resolve_admission(spec)
+    name = "auto" if spec is None else str(spec).lower()
+    if name == "auto":
+        name = "grouped" if engine.q >= AUTO_GROUP_MIN_QUERIES else "flat"
+    factory = _STRATEGIES.get(name)
+    if factory is None:
+        raise ValidationError(
+            f"unknown admission strategy {spec!r}: choose one of "
+            "auto, flat, grouped"
+        )
     if group_size is None:
         group_size = DEFAULT_GROUP_SIZE
     group_size = int(group_size)
@@ -506,10 +478,4 @@ def create_admission(
         raise ValidationError(
             f"admission group size must be a positive integer, got {group_size!r}"
         )
-    if name == "auto":
-        name = "grouped" if engine.q >= AUTO_GROUP_MIN_QUERIES else "flat"
-    return _REGISTRY[name](engine, capacity, group_size)
-
-
-register_admission("flat", FlatAdmission)
-register_admission("grouped", GroupedAdmission)
+    return factory(engine, capacity, group_size)

@@ -53,7 +53,7 @@ __all__ = ["BackendInfo", "KernelBackend", "BankKernel"]
 class BackendInfo:
     """One row of the backend registry listing (``repro backends``)."""
 
-    #: Registry name (``"numpy"``, ``"numba"``, ``"cext"``).
+    #: Registry name (``"numpy"``, ``"cext"``).
     name: str
     #: Auto-selection rank; higher wins among available backends.
     priority: int

@@ -1,13 +1,12 @@
 """Compiled C backend: the four hot kernels as native code via ctypes.
 
-The numba backend is the primary compiled tier, but it needs a package
-the deployment may not ship.  This backend needs only what almost every
-host already has — a C compiler — and the standard library: the kernel
-source below is compiled to a shared object on first use (cached on
-disk, keyed by a hash of source and flags) and loaded with ``ctypes``.
-No third-party dependency, no build step at install time; when no
-compiler is present the registry simply reports the backend
-unavailable and selection falls back.
+The only compiled tier.  It needs what almost every host already has —
+a C compiler — and the standard library: the kernel source below is
+compiled to a shared object on first use (cached on disk, keyed by a
+hash of source and flags) and loaded with ``ctypes``.  No third-party
+dependency, no build step at install time; when no compiler is present
+the registry reports the backend unavailable and ``auto`` falls back to
+the numpy reference, which produces the same bits.
 
 **Bit-exactness.**  The C kernels replicate the NumPy min-plus scan of
 :func:`repro.core.state.update_columns` operation for operation:

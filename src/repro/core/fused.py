@@ -61,11 +61,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro._validation import as_scalar_sequence, check_threshold
-from repro.core.admission import (
-    AdmissionCascade,
-    create_admission,
-    resolve_admission,
-)
+from repro.core.admission import AdmissionCascade, create_admission
 from repro.core.backends import BackendSpec, resolve_backend
 from repro.core.matches import Match
 from repro.core.missing import (
@@ -228,15 +224,18 @@ class FusedSpring:
         long a span can be replayed bit-for-bit instead of waking
         through the equivalent reset representation.
     backend:
-        Kernel backend spec (``"auto"``/``"numpy"``/``"numba"``/
-        ``"cext"``, a resolved backend, or ``None`` for the process
-        default — see :mod:`repro.core.backends`).  A runtime property
-        only: results are bit-identical across backends and the choice
-        is never serialised.
+        Kernel backend spec (``"auto"``/``"numpy"``/``"cext"``, a
+        resolved backend, or ``None`` for the process default — see
+        :mod:`repro.core.backends`).  A runtime property only: results
+        are bit-identical across backends and the choice is never
+        serialised.
     admission:
         Admission strategy for the pruning cascade —
-        ``"flat"``/``"grouped"``/``"auto"`` (or ``None`` for auto; see
-        :mod:`repro.core.admission`).  Like the backend, a runtime
+        ``"flat"``/``"grouped"``, or ``None``/``"auto"`` for the
+        bank-size rule every front end uses (see
+        :mod:`repro.core.admission`).  This is the one place a
+        strategy can be forced, so parity tests and benchmarks can
+        compare the two on one bank.  Like the backend, a runtime
         property: decisions and emissions are byte-identical across
         strategies and the choice is never serialised.  Ignored when
         pruning is off or inert.
@@ -305,7 +304,6 @@ class FusedSpring:
             raise ValidationError(
                 f"prune_buffer must be a positive capacity, got {prune_buffer!r}"
             )
-        resolve_admission(admission)  # fail fast on unknown strategies
         self._prune = (
             prune_buffer is not None and self._prune_kind in _PRUNABLE_DISTANCES
         )
@@ -746,8 +744,6 @@ class FusedSpring:
         names: Optional[Sequence[str]] = None,
         prune_buffer: Optional[int] = None,
         backend: BackendSpec = None,
-        admission: Optional[str] = None,
-        admission_group_size: Optional[int] = None,
     ) -> "FusedSpring":
         """Build an engine that adopts the live state of ``springs``.
 
@@ -801,8 +797,6 @@ class FusedSpring:
             missing=first.missing,
             prune_buffer=prune_buffer,
             backend=backend,
-            admission=admission,
-            admission_group_size=admission_group_size,
         )
         for qi, sp in enumerate(springs):
             m = sp.m

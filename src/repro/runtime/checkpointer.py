@@ -199,8 +199,6 @@ class CheckpointManager:
         prune: bool = True,
         prune_buffer: int = 1024,
         backend=None,
-        admission=None,
-        admission_group_size=None,
     ) -> Tuple[object, Dict[str, object]]:
         """Restore ``(monitor, snapshot_meta)`` from the newest snapshot.
 
@@ -211,11 +209,10 @@ class CheckpointManager:
         restored monitor's admission cascade; snapshots taken mid-park
         carry their cold-parked pruning state inside the monitor payload
         and resume to byte-identical events with either setting.
-        ``backend`` selects the restored monitor's kernel backend and
-        ``admission`` / ``admission_group_size`` its admission strategy —
-        runtime properties that snapshots never record; restoring under
-        a different combination than the writer's yields byte-identical
-        future events.
+        ``backend`` selects the restored monitor's kernel backend — a
+        runtime property that snapshots never record, like each bank's
+        admission strategy; restoring under a different backend than
+        the writer's yields byte-identical future events.
         """
         started = perf_counter() if self.recorder.enabled else 0.0
         payload = self.latest()
@@ -228,8 +225,6 @@ class CheckpointManager:
             prune=prune,
             prune_buffer=prune_buffer,
             backend=backend,
-            admission=admission,
-            admission_group_size=admission_group_size,
         )
         if self.recorder.enabled:
             self.recorder.record_checkpoint_restore(perf_counter() - started)

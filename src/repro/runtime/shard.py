@@ -85,7 +85,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.admission import resolve_admission
+from repro.core.backends import resolve_backend
 from repro.core.monitor import MatchEvent, StreamMonitor
 from repro.exceptions import CheckpointError, ShardingError, ValidationError
 from repro.obs.metrics import MetricsRegistry, merge_snapshot
@@ -197,8 +197,6 @@ class _UnitRunner:
                     prune=cfg["prune"],
                     prune_buffer=cfg["prune_buffer"],
                     backend=cfg["backend"],
-                    admission=cfg.get("admission"),
-                    admission_group_size=cfg.get("admission_group_size"),
                 )
                 self.applied = int(
                     meta["stream_ticks"].get(self.stream, meta["watermark"])
@@ -214,8 +212,6 @@ class _UnitRunner:
                 prune=cfg["prune"],
                 prune_buffer=cfg["prune_buffer"],
                 backend=cfg["backend"],
-                admission=cfg.get("admission"),
-                admission_group_size=cfg.get("admission_group_size"),
             )
             for spec in payload["queries"]:
                 monitor.add_query(
@@ -792,7 +788,7 @@ class ShardedMonitor:
     command_timeout / finish_timeout / spawn_timeout:
         Deadlines for lifecycle-command barriers, the final drain, and
         worker startup; expiry raises :class:`ShardingError`.
-    prune / prune_buffer / backend / admission / admission_group_size:
+    prune / prune_buffer / backend:
         Forwarded to every worker-side :class:`StreamMonitor`.
     fault_injector:
         Optional :class:`WorkerFaultInjector` for chaos drills.
@@ -825,8 +821,6 @@ class ShardedMonitor:
         prune: bool = True,
         prune_buffer: int = 1024,
         backend: Optional[str] = None,
-        admission: Optional[str] = None,
-        admission_group_size: Optional[int] = None,
         fault_injector: Optional[WorkerFaultInjector] = None,
         keep_events: bool = True,
         start_method: str = "spawn",
@@ -857,18 +851,6 @@ class ShardedMonitor:
         self.prune = bool(prune)
         self.prune_buffer = int(prune_buffer)
         self.backend = backend
-        # Fail fast in the supervisor, not inside a worker process.
-        self.admission = resolve_admission(admission)
-        if admission_group_size is not None and int(admission_group_size) < 1:
-            raise ValidationError(
-                "admission_group_size must be >= 1, "
-                f"got {admission_group_size}"
-            )
-        self.admission_group_size = (
-            int(admission_group_size)
-            if admission_group_size is not None
-            else None
-        )
         self.fault_injector = fault_injector
         self.keep_events = bool(keep_events)
         self.start_method = start_method
@@ -876,7 +858,7 @@ class ShardedMonitor:
         # Validation + canonical current-membership specs live in a
         # streamless StreamMonitor: add/remove/swap get exactly the
         # eager validation single-process callers get, on the numpy
-        # backend so a lifecycle call never triggers a JIT/C compile
+        # backend so a lifecycle call never triggers a C compile
         # in the supervisor.
         self._spec = StreamMonitor(
             keep_history=False, prune=False, backend="numpy"
@@ -1144,8 +1126,6 @@ class ShardedMonitor:
             "prune": self.prune,
             "prune_buffer": self.prune_buffer,
             "backend": self.backend,
-            "admission": self.admission,
-            "admission_group_size": self.admission_group_size,
             "heartbeat_interval": self.heartbeat_interval,
             "batch_limit": self.batch_limit,
             "metrics": self._registry is not None,
@@ -1744,6 +1724,15 @@ class ShardedMonitor:
             )
             for handle in self._workers.values()
         }
+
+    @property
+    def backend_name(self) -> str:
+        """Registry name of the kernel backend the workers run.
+
+        Resolved here on first access rather than at :meth:`start`, so
+        spawning workers never waits on a backend probe.
+        """
+        return resolve_backend(self.backend).name
 
     @property
     def queries(self) -> List[str]:

@@ -66,8 +66,6 @@ class EngineConfig:
     streams: Sequence[str] = ()
     shards: int = 0
     backend: Optional[str] = None
-    admission: Optional[str] = None
-    admission_group_size: Optional[int] = None
     prune: bool = True
     prune_buffer: int = 1024
     checkpoint_dir: Union[str, Path, None] = None
@@ -181,8 +179,6 @@ class ServiceEngine:
                 prune=cfg.prune,
                 prune_buffer=cfg.prune_buffer,
                 backend=cfg.backend,
-                admission=cfg.admission,
-                admission_group_size=cfg.admission_group_size,
             )
             self._monitor = monitor
             self._ticks = dict(resumed_meta["stream_ticks"])
@@ -206,8 +202,6 @@ class ServiceEngine:
                 prune=cfg.prune,
                 prune_buffer=cfg.prune_buffer,
                 backend=cfg.backend,
-                admission=cfg.admission,
-                admission_group_size=cfg.admission_group_size,
                 keep_events=False,
             )
             if not cfg.streams:
@@ -230,8 +224,6 @@ class ServiceEngine:
                 prune=cfg.prune,
                 prune_buffer=cfg.prune_buffer,
                 backend=cfg.backend,
-                admission=cfg.admission,
-                admission_group_size=cfg.admission_group_size,
             )
             for stream in cfg.streams:
                 monitor.add_stream(stream)
@@ -531,10 +523,9 @@ class ServiceEngine:
         return {
             "mode": "sharded" if self.sharded else "in-process",
             "shards": int(self.config.shards),
-            "backend": getattr(monitor, "backend_name", self.config.backend),
-            "admission": getattr(
-                monitor, "admission_name", self.config.admission
-            ),
+            "backend": monitor.backend_name,
+            # Every bank picks flat or grouped admission from its size.
+            "admission": "auto",
             "streams": {
                 stream: {
                     "watermark": int(self._ticks.get(stream, 0)),

@@ -7,9 +7,8 @@ comparison — the one degree of freedom the exactness contract leaves
 open; see ``repro.core.backends.base``).
 
 The suite parametrises over :func:`available_backends`, so it runs the
-numpy backend everywhere, the cext backend wherever a C compiler
-exists, and the numba backend only where the optional package is
-installed — nothing here is environment-specific.
+numpy backend everywhere and the cext backend wherever a C compiler
+exists — nothing here is environment-specific.
 """
 
 from __future__ import annotations

@@ -12,6 +12,11 @@ checkpoints across *strategy changes* — a snapshot written under
 grouped admission resumes under flat (and vice versa) to the same
 byte stream, because the index is a pure function of the parked set.
 
+Engines pick their strategy through the ``FusedSpring(admission=...)``
+seam; monitors have no strategy knob (every bank follows the bank-size
+rule), so the monitor-level sweep moves the rule's threshold and group
+size inside the test body instead (:func:`forced_admission`).
+
 These tests are the executable form of the exactness argument in
 ``docs/algorithm.md`` §14; the flat cascade's own on/off parity lives
 in ``test_prune_parity``.
@@ -19,11 +24,15 @@ in ``test_prune_parity``.
 
 from __future__ import annotations
 
+import sys
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import FusedSpring, QueryBank, StreamMonitor
+from repro.core import admission as admission_module
 from repro.core.backends import available_backends
 from repro.core.checkpoint import dump_monitor_json, load_monitor_json
 
@@ -183,13 +192,22 @@ class TestBackendSweep:
             assert _events(grouped, stream) == expected, backend
 
 
-def _monitor(admission, specs, group_size=None, prune_buffer=16):
-    monitor = StreamMonitor(
-        prune=True,
-        prune_buffer=prune_buffer,
-        admission=admission,
-        admission_group_size=group_size,
+def forced_admission(kind, group_size=None):
+    """Make every bank built inside the block use ``kind`` admission
+    with groups of ``group_size``, by moving the bank-size rule."""
+    return mock.patch.multiple(
+        admission_module,
+        AUTO_GROUP_MIN_QUERIES=1 if kind == "grouped" else sys.maxsize,
+        DEFAULT_GROUP_SIZE=group_size or admission_module.DEFAULT_GROUP_SIZE,
     )
+
+
+def _bank_kinds(monitor):
+    return [bank.engine.admission_kind for bank in monitor._plans["s"].banks]
+
+
+def _monitor(specs, prune_buffer=16):
+    monitor = StreamMonitor(prune=True, prune_buffer=prune_buffer)
     monitor.add_stream("s")
     for name, query, eps in specs:
         monitor.add_query(name, query, epsilon=eps)
@@ -213,33 +231,36 @@ class TestCheckpointKillAtAnyTick:
         epsilon=st.floats(min_value=0.5, max_value=8.0),
         group_size=st.integers(min_value=1, max_value=5),
         cut_frac=st.floats(min_value=0.1, max_value=0.9),
-        resume_grouped=st.booleans(),
+        write_kind=st.sampled_from(["flat", "grouped"]),
+        resume_kind=st.sampled_from(["flat", "grouped"]),
     )
     def test_parked_group_state_rides_checkpoints(
-        self, queries, stream, epsilon, group_size, cut_frac, resume_grouped
+        self, queries, stream, epsilon, group_size, cut_frac, write_kind,
+        resume_kind,
     ):
-        """Snapshot at an arbitrary tick, restore under either strategy,
-        and the suffix event stream is byte-identical to the unbroken
-        grouped run — parked groups re-form from the restored parked
-        set, never from serialised index state."""
+        """Snapshot at an arbitrary tick under one strategy, restore
+        under either, and the suffix event stream is byte-identical to
+        the unbroken grouped run — parked groups re-form from the
+        restored parked set, never from serialised index state."""
         specs = [(f"q{i}", q, epsilon) for i, q in enumerate(queries)]
         cut = max(1, int(len(stream) * cut_frac))
 
-        unbroken = _monitor("grouped", specs, group_size)
-        prefix_expected = _push_all(unbroken, stream[:cut])
-        suffix_expected = _push_all(unbroken, stream[cut:])
+        with forced_admission("grouped", group_size):
+            unbroken = _monitor(specs)
+            prefix_expected = _push_all(unbroken, stream[:cut])
+            suffix_expected = _push_all(unbroken, stream[cut:])
+            assert _bank_kinds(unbroken) == ["grouped"]
 
-        victim = _monitor("grouped", specs, group_size)
-        assert _push_all(victim, stream[:cut]) == prefix_expected
-        blob = dump_monitor_json(victim)
+        with forced_admission(write_kind, group_size):
+            victim = _monitor(specs)
+            assert _push_all(victim, stream[:cut]) == prefix_expected
+            assert _bank_kinds(victim) == [write_kind]
+            blob = dump_monitor_json(victim)
 
-        if resume_grouped:
-            resumed = load_monitor_json(
-                blob, admission="grouped", admission_group_size=group_size
-            )
-        else:
-            resumed = load_monitor_json(blob, admission="flat")
-        assert _push_all(resumed, stream[cut:]) == suffix_expected
+        with forced_admission(resume_kind, group_size):
+            resumed = load_monitor_json(blob)
+            assert _push_all(resumed, stream[cut:]) == suffix_expected
+            assert _bank_kinds(resumed) == [resume_kind]
 
     def test_parking_actually_engages_in_groups(self):
         """Guard against vacuous parity: groups really certify."""

@@ -4,7 +4,8 @@ The property (ISSUE 9): ticks pushed through the network service
 produce a per-stream match-event sequence **byte-identical** to
 feeding the same values to a local :class:`StreamMonitor` via
 ``push_many`` — swept across every available kernel backend and both
-admission strategies.  Byte-identical means the literal frame bytes:
+admission strategies (forced by moving the bank-size rule inside the
+test, since neither side has a strategy knob).  Byte-identical means the literal frame bytes:
 both sides run their events through the one canonical encoder
 (:func:`repro.service.protocol.encode_event`), and the wire side
 compares the raw lines it read off the socket, unparsed.
@@ -17,11 +18,14 @@ order, per-stream sequence numbers, and every match field are.
 from __future__ import annotations
 
 import json
-from typing import Dict, List
+import sys
+from typing import Dict, List, Optional
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from repro.core import admission as admission_module
 from repro.core.backends import available_backends
 from repro.core.monitor import StreamMonitor
 from repro.service import protocol
@@ -30,7 +34,9 @@ from repro.service.engine import EngineConfig
 from repro.service.server import start_in_thread
 
 BACKENDS = available_backends()
-ADMISSIONS = ("flat", "grouped")
+#: (strategy, queries per group); 1 splits the bank into one group per
+#: query, None keeps the default (one group holds the whole bank).
+ADMISSIONS = (("flat", None), ("grouped", None), ("grouped", 1))
 
 QUERIES = [
     ("spike", [0.0, 5.0, 0.0], 2.0, {}),
@@ -67,13 +73,22 @@ def _workload(rng) -> Dict[str, List[np.ndarray]]:
     return out
 
 
+def forced_admission(kind: str, group_size: Optional[int] = None):
+    """Make every bank built inside the block (in this process, so the
+    in-thread server's too) use ``kind`` admission, by moving the
+    bank-size rule."""
+    return mock.patch.multiple(
+        admission_module,
+        AUTO_GROUP_MIN_QUERIES=1 if kind == "grouped" else sys.maxsize,
+        DEFAULT_GROUP_SIZE=group_size or admission_module.DEFAULT_GROUP_SIZE,
+    )
+
+
 def _direct_frames(
-    batches: Dict[str, List[np.ndarray]], backend: str, admission: str
+    batches: Dict[str, List[np.ndarray]], backend: str
 ) -> Dict[str, List[bytes]]:
     """Ground truth: local push_many, events through the wire encoder."""
-    monitor = StreamMonitor(
-        keep_history=False, backend=backend, admission=admission
-    )
+    monitor = StreamMonitor(keep_history=False, backend=backend)
     for stream in batches:
         monitor.add_stream(stream)
     for name, query, epsilon, kwargs in QUERIES:
@@ -95,13 +110,12 @@ def _direct_frames(
 
 
 def _wire_frames(
-    batches: Dict[str, List[np.ndarray]], backend: str, admission: str
+    batches: Dict[str, List[np.ndarray]], backend: str
 ) -> Dict[str, List[bytes]]:
     """The same workload through sockets; raw event lines, unparsed."""
     config = EngineConfig(
         streams=tuple(batches),
         backend=backend,
-        admission=admission,
         queries=QUERIES,
     )
     handle = start_in_thread(config)
@@ -132,11 +146,18 @@ def _wire_frames(
         handle.stop(checkpoint=False)
 
 
-@pytest.mark.parametrize("admission", ADMISSIONS)
+@pytest.mark.parametrize(
+    "admission,group_size", ADMISSIONS,
+    ids=["flat", "grouped", "grouped-g1"],
+)
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_wire_events_byte_identical_to_direct(rng, backend, admission):
+def test_wire_events_byte_identical_to_direct(
+    rng, backend, admission, group_size
+):
     batches = _workload(rng)
-    direct = _direct_frames(batches, backend, admission)
+    with forced_admission(admission, group_size):
+        direct = _direct_frames(batches, backend)
+        wire = _wire_frames(batches, backend)
     # Sanity: the workload actually exercises every query.
     seen_queries = {
         json.loads(line)["query"]
@@ -144,18 +165,18 @@ def test_wire_events_byte_identical_to_direct(rng, backend, admission):
         for line in lines
     }
     assert seen_queries == {name for name, _, _, _ in QUERIES}
-    wire = _wire_frames(batches, backend, admission)
     for stream in STREAMS:
         assert wire[stream] == direct[stream], (
             f"stream {stream!r}: wire events diverge from direct push_many "
-            f"(backend={backend}, admission={admission})"
+            f"(backend={backend}, admission={admission}, "
+            f"group_size={group_size})"
         )
 
 
 def test_event_frames_use_serde_float_encoding(rng):
     """Distances on the wire survive exact round-trips (no repr drift)."""
     batches = _workload(rng)
-    direct = _direct_frames(batches, "numpy", "flat")
+    direct = _direct_frames(batches, "numpy")
     for lines in direct.values():
         for line in lines:
             frame = json.loads(line)

@@ -26,6 +26,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.core.backends import resolve_backend
 from repro.exceptions import ServiceError
 from repro.obs.prometheus import parse as parse_prometheus
 from repro.service.client import (
@@ -329,6 +330,21 @@ def test_stats_report_watermarks_and_sequences(server):
     assert stats["events_total"] == 1
     control.close()
     producer.close()
+
+
+@pytest.mark.parametrize("shards", [0, 1], ids=["in-process", "sharded"])
+def test_stats_report_resolved_backend_and_admission(service_server, shards):
+    """Both engine modes name the backend their kernels actually run
+    and the same admission rule, never a null or the raw config."""
+    handle = service_server(EngineConfig(
+        streams=("s1",), shards=shards, queries=[("spike", SPIKE, 2.0, {})],
+    ))
+    control = ControlClient("127.0.0.1", handle.port)
+    stats = control.stats()
+    control.close()
+    assert stats["mode"] == ("sharded" if shards else "in-process")
+    assert stats["backend"] == resolve_backend(None).name
+    assert stats["admission"] == "auto"
 
 
 # ----------------------------------------------------------------------
